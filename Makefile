@@ -57,13 +57,16 @@ lint: vet fmtcheck vet-json
 
 check: build vet test race alloc-gate vet-hotpath metrics-smoke trace-smoke sweep-smoke
 
-# Allocs/op regression gate for the AMU lookup path: AMU.Lookup, Peek, and
-# LookupAttributes must be allocation-free in steady state on the ALB-hit,
-# miss+evict, and unmapped-page paths (testing.AllocsPerRun == 0). The
-# deterministic twin of the bench-hotpath snapshot, cheap enough for every
-# check/CI run.
+# Allocs/op regression gate for the simulated access path
+# (testing.AllocsPerRun == 0 in steady state): the AMU lookup path (Lookup,
+# Peek, LookupAttributes on ALB-hit, miss+evict and unmapped pages), the
+# core's IssueMem with full ROB/LSQ rings, cache misses evicting beside
+# pinned ways, and prefetcher Observe-then-Drain; plus the Figure 4 thrash
+# point end to end below 0.1 allocs per simulated access. Cheap enough for
+# every check/CI run.
 alloc-gate:
-	$(GO) test -run 'TestHotPath' -v ./internal/core/
+	$(GO) test -run 'TestHotPath' -v ./internal/core/ ./internal/cpu/ \
+		./internal/cache/ ./internal/prefetch/ ./internal/sim/
 
 # Record the lookup hot path's cost envelope (BENCH_hotpath.json): the
 # allocation-audited micro-benchmarks vs the pre-rewrite reference models

@@ -9,14 +9,15 @@ import (
 	"testing"
 )
 
-// -update regenerates testdata/src/inferbad/inferbad.go.golden from the
-// fixes attrinfer currently plans. Inspect the diff before committing.
+// -update regenerates the fixer golden files (testdata/src/inferbad and
+// testdata/src/dupsite) from the fixes attrinfer currently plans. Inspect the diff before committing.
 var updateGolden = flag.Bool("update", false, "rewrite attrinfer golden files")
 
 func TestAttrInfer(t *testing.T) {
 	runFixture(t, AttrInfer, "inferbad")
 	runFixture(t, AttrInfer, "infergood")
 	runFixture(t, AttrInfer, "inferunknown")
+	runFixture(t, AttrInfer, "dupsite")
 }
 
 // TestAttrInferFixGolden is the end-to-end contract of the -fix pipeline:
@@ -24,13 +25,30 @@ func TestAttrInfer(t *testing.T) {
 // golden file, the fixed source must still type-check, and a second
 // attrinfer pass over it must find nothing (idempotency).
 func TestAttrInferFixGolden(t *testing.T) {
-	fixtureDir := filepath.Join("testdata", "src", "inferbad")
-	src, err := os.ReadFile(filepath.Join(fixtureDir, "inferbad.go"))
+	checkFixGolden(t, "inferbad", []*Analyzer{AttrInfer})
+}
+
+// TestAttrInferFixSharedSite is the same contract for two CreateAtom calls
+// that share one site string with different declared literals: the one
+// finding's fix rewrites both sites without conflicting edits, and the
+// fixed package is clean under every xmem-vet analyzer.
+func TestAttrInferFixSharedSite(t *testing.T) {
+	checkFixGolden(t, "dupsite", All())
+}
+
+// checkFixGolden plans attrinfer's fixes for testdata/src/<name>/<name>.go
+// in a scratch copy, compares the fixed file with <name>.go.golden, then
+// applies the fixes and requires the result to type-check and draw no
+// finding from the given analyzers. -update rewrites the golden file.
+func checkFixGolden(t *testing.T, name string, after []*Analyzer) {
+	t.Helper()
+	fixtureDir := filepath.Join("testdata", "src", name)
+	src, err := os.ReadFile(filepath.Join(fixtureDir, name+".go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tmp := t.TempDir()
-	tmpFile := filepath.Join(tmp, "inferbad.go")
+	tmpFile := filepath.Join(tmp, name+".go")
 	if err := os.WriteFile(tmpFile, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +61,13 @@ func TestAttrInferFixGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(tmp, "fixture/inferbad")
+	pkg, err := loader.LoadDir(tmp, "fixture/"+name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	findings := Run(loader.Fset, []*Package{pkg}, []*Analyzer{AttrInfer})
 	if len(findings) == 0 {
-		t.Fatal("attrinfer found nothing on the inferbad fixture")
+		t.Fatalf("attrinfer found nothing on the %s fixture", name)
 	}
 	for _, f := range findings {
 		if len(f.SuggestedFixes) == 0 {
@@ -69,7 +87,7 @@ func TestAttrInferFixGolden(t *testing.T) {
 		t.Fatalf("plan edits files %v, want %s", keysOf(plan.Files), tmpFile)
 	}
 
-	goldenPath := filepath.Join(fixtureDir, "inferbad.go.golden")
+	goldenPath := filepath.Join(fixtureDir, name+".go.golden")
 	if *updateGolden {
 		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -77,7 +95,7 @@ func TestAttrInferFixGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run TestAttrInferFixGolden -update` to create it)", err)
+		t.Fatalf("%v (run `go test -run %s -update` to create it)", err, t.Name())
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("fixed fixture differs from golden:\n--- got\n%s\n--- want\n%s", got, want)
@@ -91,11 +109,11 @@ func TestAttrInferFixGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixedPkg, err := loader2.LoadDir(tmp, "fixture/inferfixed")
+	fixedPkg, err := loader2.LoadDir(tmp, "fixture/"+name+"fixed")
 	if err != nil {
 		t.Fatalf("fixed source does not type-check: %v", err)
 	}
-	for _, f := range Run(loader2.Fset, []*Package{fixedPkg}, []*Analyzer{AttrInfer}) {
+	for _, f := range Run(loader2.Fset, []*Package{fixedPkg}, after) {
 		t.Errorf("finding after fix applied: %s", f)
 	}
 }

@@ -497,7 +497,10 @@ func (c *Cache) install(pa mem.Addr, set int, tag uint64, kind mem.AccessKind, a
 }
 
 // chooseVictim prefers invalid ways, then unpinned lines; pinned lines are
-// victims of last resort.
+// victims of last resort. The set's pinned flags are the policy's blocked
+// mask, so an eviction builds no predicate.
+//
+//xmem:allocfree
 func (c *Cache) chooseVictim(set int) int {
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -512,11 +515,11 @@ func (c *Cache) chooseVictim(set int) int {
 			break
 		}
 	}
-	eligible := func(w int) bool { return true }
+	var blocked []bool
 	if unpinnedExists {
-		eligible = func(w int) bool { return !c.pinned[base+w] }
+		blocked = c.pinned[base : base+c.ways]
 	}
-	return c.policy.Victim(set, eligible)
+	return c.policy.Victim(set, blocked) //xmem:alloc-ok Policy dispatch: the LRU and RRIP Victim implementations are //xmem:allocfree roots themselves
 }
 
 // AgePinned removes the pin from every line whose atom fails keep, and ages

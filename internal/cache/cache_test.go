@@ -328,12 +328,11 @@ func TestDRRIPScanResistance(t *testing.T) {
 
 func TestRRIPVictimAgesUntilFound(t *testing.T) {
 	p := NewSRRIP(1, 4)
-	all := func(int) bool { return true }
 	for w := 0; w < 4; w++ {
 		p.Insert(0, w, InsertDefault) // RRPV = 2
 	}
 	p.Hit(0, 1) // RRPV[1] = 0
-	v := p.Victim(0, all)
+	v := p.Victim(0, nil)
 	if v == 1 {
 		t.Errorf("victim = way 1, the most recently hit line")
 	}
@@ -344,7 +343,7 @@ func TestRRIPVictimRespectsEligibility(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		p.Insert(0, w, InsertLow) // all RRPV = 3
 	}
-	v := p.Victim(0, func(w int) bool { return w == 2 })
+	v := p.Victim(0, []bool{true, true, false, true})
 	if v != 2 {
 		t.Errorf("victim = %d, want the only eligible way 2", v)
 	}

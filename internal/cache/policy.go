@@ -29,10 +29,11 @@ type Policy interface {
 	Insert(set, way int, pri InsertPriority)
 	// Miss notifies the policy of a miss in set (for set dueling).
 	Miss(set int)
-	// Victim picks the way to evict in set; every way is valid and
-	// eligible(way) reports whether it may be chosen. At least one way is
-	// always eligible.
-	Victim(set int, eligible func(way int) bool) int
+	// Victim picks the way to evict in set; every way is valid. blocked,
+	// when non-nil, has one entry per way and blocked[way] excludes that
+	// way from the choice; nil means every way is eligible. At least one
+	// way is always eligible.
+	Victim(set int, blocked []bool) int
 	// Age demotes the line at (set, way) so the default policy will evict
 	// it soon (used when pinned lines lose their pin, §5.2(3)).
 	Age(set, way int)
@@ -73,10 +74,11 @@ func (p *lru) Insert(set, way int, pri InsertPriority) {
 
 func (p *lru) Miss(int) {}
 
-func (p *lru) Victim(set int, eligible func(way int) bool) int {
+//xmem:allocfree
+func (p *lru) Victim(set int, blocked []bool) int {
 	best, bestStamp := -1, uint64(0)
 	for w := 0; w < p.ways; w++ {
-		if !eligible(w) {
+		if blocked != nil && blocked[w] {
 			continue
 		}
 		if s := p.stamp[set*p.ways+w]; best == -1 || s < bestStamp {
@@ -218,10 +220,11 @@ func (p *rrip) Miss(set int) {
 	}
 }
 
-func (p *rrip) Victim(set int, eligible func(way int) bool) int {
+//xmem:allocfree
+func (p *rrip) Victim(set int, blocked []bool) int {
 	for {
 		for w := 0; w < p.ways; w++ {
-			if eligible(w) && p.rrpv[set*p.ways+w] == rripMax {
+			if (blocked == nil || !blocked[w]) && p.rrpv[set*p.ways+w] == rripMax {
 				return w
 			}
 		}
@@ -237,7 +240,7 @@ func (p *rrip) Victim(set int, eligible func(way int) bool) int {
 			// All lines already distant but ineligible ones block them:
 			// pick the first eligible way.
 			for w := 0; w < p.ways; w++ {
-				if eligible(w) {
+				if blocked == nil || !blocked[w] {
 					return w
 				}
 			}

@@ -137,9 +137,7 @@ func (m *AAM) ensurePage(pageIdx uint64) *aamPage {
 	}
 	if pageIdx < maxDirectPages {
 		if pageIdx >= uint64(len(m.dir)) {
-			grown := make([]*aamPage, pageIdx+1)
-			copy(grown, m.dir)
-			m.dir = grown
+			m.growDir(pageIdx)
 		}
 		m.dir[pageIdx] = p
 	} else {
@@ -149,6 +147,29 @@ func (m *AAM) ensurePage(pageIdx uint64) *aamPage {
 		m.overflow[pageIdx] = p
 	}
 	return p
+}
+
+// growDir extends the dense directory so pageIdx (< maxDirectPages) is in
+// range. Capacity grows by doubling, capped at maxDirectPages, so mapping
+// pages in ascending frame order copies the directory O(log N) times rather
+// than once per page. Slots between the old length and the capacity are nil
+// by construction: the directory never shrinks, and capacity beyond len was
+// either zeroed by make or never written.
+func (m *AAM) growDir(pageIdx uint64) {
+	if pageIdx < uint64(cap(m.dir)) {
+		m.dir = m.dir[:pageIdx+1]
+		return
+	}
+	newCap := uint64(2 * cap(m.dir))
+	if newCap <= pageIdx {
+		newCap = pageIdx + 1
+	}
+	if newCap > maxDirectPages {
+		newCap = maxDirectPages
+	}
+	grown := make([]*aamPage, pageIdx+1, newCap)
+	copy(grown, m.dir)
+	m.dir = grown
 }
 
 // dropIfEmpty frees the page's directory slot once its last chunk unmaps,

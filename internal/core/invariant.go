@@ -223,6 +223,12 @@ func (c *InvariantChecker) checkAAM(m *AAM) error {
 			return err
 		}
 	}
+	// Growth reslices into this spare capacity assuming it is all nil.
+	for i, p := range m.dir[len(m.dir):cap(m.dir)] {
+		if p != nil {
+			return fmt.Errorf("aam: directory slot %#x beyond length %d holds a page", len(m.dir)+i, len(m.dir))
+		}
+	}
 	for pageIdx, p := range m.overflow {
 		if err := auditPage(pageIdx, p); err != nil {
 			return err

@@ -57,6 +57,57 @@ type robEntry struct {
 	res   mem.Result
 }
 
+// opRing is a fixed-capacity FIFO of in-flight memory ops, oldest first.
+// IssueMem stalls until an entry leaves before it pushes one, so the
+// capacity Config sets (ROBSize, LQSize or SQSize) is never exceeded and the
+// ring never reallocates. push on a full ring is a bug in the caller.
+type opRing struct {
+	buf  []robEntry
+	head int
+	n    int
+}
+
+func newOpRing(capacity int) opRing { return opRing{buf: make([]robEntry, capacity)} }
+
+// front returns the oldest entry; the ring must not be empty.
+//
+//xmem:allocfree
+func (r *opRing) front() *robEntry { return &r.buf[r.head] }
+
+// pop drops the oldest entry, clearing its slot so a resolved Future is
+// not kept reachable by the ring.
+//
+//xmem:allocfree
+func (r *opRing) pop() {
+	r.buf[r.head] = robEntry{}
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+}
+
+// push appends e as the newest entry; the ring must not be full.
+//
+//xmem:allocfree
+func (r *opRing) push(e robEntry) {
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = e
+	r.n++
+}
+
+// reset empties the ring, keeping its storage.
+//
+//xmem:allocfree
+func (r *opRing) reset() {
+	for r.n > 0 {
+		r.pop()
+	}
+}
+
 // Core is the timing model. It is not safe for concurrent use.
 type Core struct {
 	cfg Config
@@ -65,9 +116,9 @@ type Core struct {
 	nextIssue uint64 // cycle the next instruction issues at
 	frac      int    // instructions already issued in cycle nextIssue
 
-	rob []robEntry // in-flight memory ops, oldest first (in-order commit)
-	lq  []mem.Result
-	sq  []mem.Result
+	rob opRing // in-flight memory ops, oldest first (in-order commit)
+	lq  opRing
+	sq  opRing
 
 	stats Stats
 }
@@ -88,7 +139,12 @@ func New(cfg Config) *Core {
 	if cfg.SQSize <= 0 {
 		cfg.SQSize = def.SQSize
 	}
-	return &Core{cfg: cfg}
+	return &Core{
+		cfg: cfg,
+		rob: newOpRing(cfg.ROBSize),
+		lq:  newOpRing(cfg.LQSize),
+		sq:  newOpRing(cfg.SQSize),
+	}
 }
 
 // Now returns the cycle at which the next instruction would issue.
@@ -116,24 +172,24 @@ func (c *Core) stallUntil(at uint64) uint64 {
 
 // retire pops ROB entries that have completed and committed by nextIssue.
 func (c *Core) retire() {
-	for len(c.rob) > 0 {
-		done, ok := c.rob[0].res.Peek()
+	for c.rob.n > 0 {
+		done, ok := c.rob.front().res.Peek()
 		if !ok || done > c.nextIssue {
 			return
 		}
-		c.rob = c.rob[1:]
+		c.rob.pop()
 	}
 }
 
-func drainQueue(q []mem.Result, now uint64) []mem.Result {
-	for len(q) > 0 {
-		if done, ok := q[0].Peek(); ok && done <= now {
-			q = q[1:]
-			continue
+// drainQueue pops the load or store queue's completed entries.
+func drainQueue(q *opRing, now uint64) {
+	for q.n > 0 {
+		done, ok := q.front().res.Peek()
+		if !ok || done > now {
+			return
 		}
-		return q
+		q.pop()
 	}
-	return q
 }
 
 // Skew moves the issue point forward by delta cycles. The bound–weave
@@ -165,9 +221,9 @@ func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
 	// ROB window: the oldest in-flight op must be within ROBSize
 	// instructions of this one.
 	c.retire()
-	for len(c.rob) > 0 && c.instr-c.rob[0].instr >= uint64(c.cfg.ROBSize) {
-		c.stats.ROBStallCycles += c.stallUntil(c.rob[0].res.Wait())
-		c.rob = c.rob[1:]
+	for c.rob.n > 0 && c.instr-c.rob.front().instr >= uint64(c.cfg.ROBSize) {
+		c.stats.ROBStallCycles += c.stallUntil(c.rob.front().res.Wait())
+		c.rob.pop()
 	}
 
 	// Load/store queue occupancy.
@@ -177,16 +233,16 @@ func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
 		q = &c.sq
 		limit = c.cfg.SQSize
 	}
-	*q = drainQueue(*q, c.nextIssue)
-	for len(*q) >= limit {
-		c.stats.LSQStallCycles += c.stallUntil((*q)[0].Wait())
-		*q = (*q)[1:]
-		*q = drainQueue(*q, c.nextIssue)
+	drainQueue(q, c.nextIssue)
+	for q.n >= limit {
+		c.stats.LSQStallCycles += c.stallUntil(q.front().res.Wait())
+		q.pop()
+		drainQueue(q, c.nextIssue)
 	}
 
-	res := access(c.nextIssue)
-	c.rob = append(c.rob, robEntry{instr: c.instr, res: res})
-	*q = append(*q, res)
+	e := robEntry{instr: c.instr, res: access(c.nextIssue)}
+	c.rob.push(e)
+	q.push(e)
 
 	// Issuing the instruction consumes an issue slot.
 	c.frac++
@@ -199,14 +255,13 @@ func (c *Core) IssueMem(isLoad bool, access func(at uint64) mem.Result) {
 // Finish retires everything outstanding and returns the final cycle count.
 func (c *Core) Finish() uint64 {
 	end := c.nextIssue
-	for _, e := range c.rob {
-		if d := e.res.Wait(); d > end {
+	for ; c.rob.n > 0; c.rob.pop() {
+		if d := c.rob.front().res.Wait(); d > end {
 			end = d
 		}
 	}
-	c.rob = nil
-	c.lq = nil
-	c.sq = nil
+	c.lq.reset()
+	c.sq.reset()
 	c.nextIssue = end
 	c.stats.Cycles = end
 	return end

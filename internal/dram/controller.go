@@ -89,7 +89,11 @@ type bank struct {
 	activateAt uint64
 }
 
+// channel is one DRAM channel's scheduler state. It owns the futures of its
+// pending reads (mem.Forcer): forcing one steps the channel until that read
+// is scheduled.
 type channel struct {
+	ctl          *Controller
 	banks        []bank
 	banksPerRank int
 	busReadyAt   uint64
@@ -126,6 +130,11 @@ type Controller struct {
 	chans    []*channel
 	stats    Stats
 	obs      Observer
+	// free pools requests the scheduler has issued. Nothing refers to a
+	// request once it leaves its queue (a read's Future refers to the
+	// channel, not the request), so reuse is safe and the pool grows only
+	// to the high-water queue occupancy.
+	free []*request
 }
 
 // SetObserver installs a scheduled-command observer.
@@ -159,6 +168,7 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	for i := 0; i < cfg.Geometry.Channels; i++ {
 		ch := &channel{
+			ctl:          c,
 			banks:        make([]bank, cfg.Geometry.BanksPerChannel()),
 			banksPerRank: cfg.Geometry.BanksPerRank,
 		}
@@ -194,7 +204,7 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 	ch := c.chans[loc.Channel]
 
 	if kind == mem.Writeback {
-		ch.writeQ = append(ch.writeQ, &request{addr: pa, kind: kind, arrival: at, loc: loc})
+		ch.writeQ = append(ch.writeQ, c.newRequest(pa, kind, at, loc))
 		// Bound the write queue so a write-only phase cannot grow it
 		// without limit.
 		for len(ch.writeQ) > 4*c.writeHi {
@@ -203,7 +213,6 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 		return mem.Done(at)
 	}
 
-	req := &request{addr: pa, kind: kind, arrival: at, loc: loc}
 	// Write-queue hit: the line's latest data is in the controller.
 	for _, w := range ch.writeQ {
 		if w.addr == pa {
@@ -215,18 +224,31 @@ func (c *Controller) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.
 			return mem.Done(at + c.timing.CAS)
 		}
 	}
-	req.fut = mem.NewFuture(func() { c.drainFor(ch, req) })
+	req := c.newRequest(pa, kind, at, loc)
+	req.fut = mem.NewOwnedFuture(ch)
 	ch.readQ = append(ch.readQ, req)
 	if len(ch.readQ) > c.readCap {
-		c.drainFor(ch, ch.readQ[0])
+		ch.ForceFuture(ch.readQ[0].fut)
 	}
 	return mem.Pending(req.fut)
 }
 
-// drainFor steps the channel's scheduler until req completes.
-func (c *Controller) drainFor(ch *channel, req *request) {
-	for !req.fut.Resolved() {
-		if !c.step(ch) {
+// newRequest returns a request from the pool, or a new one when it is empty.
+func (c *Controller) newRequest(pa mem.Addr, kind mem.AccessKind, at uint64, loc Location) *request {
+	if n := len(c.free); n > 0 {
+		r := c.free[n-1]
+		c.free = c.free[:n-1]
+		*r = request{addr: pa, kind: kind, arrival: at, loc: loc}
+		return r
+	}
+	return &request{addr: pa, kind: kind, arrival: at, loc: loc}
+}
+
+// ForceFuture implements mem.Forcer: it steps the channel's scheduler until
+// f, the future of one of its reads, is resolved.
+func (ch *channel) ForceFuture(f *mem.Future) {
+	for !f.Resolved() {
+		if !ch.ctl.step(ch) {
 			panic("dram: scheduler stalled with unresolved request")
 		}
 	}
@@ -342,12 +364,14 @@ func (c *Controller) step(ch *channel) bool {
 			ch.draining = true
 		}
 		c.issue(ch, ch.writeQ[writeIdx])
+		c.free = append(c.free, ch.writeQ[writeIdx])
 		ch.writeQ = append(ch.writeQ[:writeIdx], ch.writeQ[writeIdx+1:]...)
 		if len(ch.writeQ) <= c.writeHi/4 {
 			ch.draining = false
 		}
 	default:
 		c.issue(ch, ch.readQ[readIdx])
+		c.free = append(c.free, ch.readQ[readIdx])
 		ch.readQ = append(ch.readQ[:readIdx], ch.readQ[readIdx+1:]...)
 	}
 	return true

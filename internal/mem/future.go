@@ -2,17 +2,38 @@ package mem
 
 // Future is the eventually-known completion time of a memory request whose
 // scheduling depends on other requests that may not have arrived yet (DRAM
-// requests under FR-FCFS). The owner (the memory controller) installs a
-// force callback that advances its scheduler until the request completes.
+// requests under FR-FCFS). Its owner (the memory controller's channel)
+// advances its scheduler until the request completes when forced.
+//
+// A Future is 32 bytes and refers only to its long-lived owner, never to
+// the request it tracks: futures outlive requests (a cache line's fill
+// Result is kept until the line is replaced), so anything a Future holds
+// stays live with the simulated cache contents (see TestFutureSize).
 type Future struct {
 	done     uint64
 	resolved bool
-	force    func()
+	owner    Forcer
 }
+
+// Forcer owns pending futures: ForceFuture runs the owner's scheduler until
+// f is resolved.
+type Forcer interface {
+	ForceFuture(f *Future)
+}
+
+// forceFunc adapts a plain callback to Forcer, for owners that have no
+// long-lived value to act as one (Result.Offset, tests).
+type forceFunc func()
+
+func (fn forceFunc) ForceFuture(*Future) { fn() }
 
 // NewFuture returns an unresolved future whose Force drains via the given
 // callback. The callback must leave the future resolved.
-func NewFuture(force func()) *Future { return &Future{force: force} }
+func NewFuture(force func()) *Future { return &Future{owner: forceFunc(force)} }
+
+// NewOwnedFuture returns an unresolved future that owner resolves when
+// forced. Unlike NewFuture it needs no per-future closure.
+func NewOwnedFuture(owner Forcer) *Future { return &Future{owner: owner} }
 
 // Resolve records the completion cycle. Resolving twice is a bug in the
 // owner and panics.
@@ -22,7 +43,7 @@ func (f *Future) Resolve(cycle uint64) {
 	}
 	f.done = cycle
 	f.resolved = true
-	f.force = nil
+	f.owner = nil
 }
 
 // Resolved reports whether the completion time is known.
@@ -32,7 +53,7 @@ func (f *Future) Resolved() bool { return f.resolved }
 // is known, then returns it.
 func (f *Future) Force() uint64 {
 	if !f.resolved {
-		f.force()
+		f.owner.ForceFuture(f)
 		if !f.resolved {
 			panic("mem: force did not resolve future")
 		}
@@ -62,8 +83,8 @@ func (r Result) Peek() (uint64, bool) {
 	}
 	if r.fut.Resolved() {
 		// Force on a resolved future is a pure read: Resolve cleared the
-		// callback, so no scheduler work can run from here.
-		return r.fut.Force(), true //xmem:stats-ok Force after Resolved() returns the stored cycle; the force callback was nilled by Resolve
+		// owner, so no scheduler work can run from here.
+		return r.fut.Force(), true //xmem:stats-ok Force after Resolved() returns the stored cycle; the owner was nilled by Resolve
 	}
 	return 0, false
 }

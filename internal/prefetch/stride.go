@@ -19,6 +19,26 @@ type Request struct {
 	PC   mem.Addr
 }
 
+// reqQueue is a double-buffered prefetch queue. drain hands out the current
+// buffer and makes the spare one current, so requests enqueued while the
+// caller iterates the drained slice (an L3 prefetch fill can reach the
+// prefetchers again) land in the other buffer, and steady-state
+// enqueue/drain cycles reuse the two buffers' capacity instead of
+// allocating. A drained slice stays valid only until the next drain.
+type reqQueue struct {
+	cur, spare []Request
+}
+
+func (q *reqQueue) push(r Request) { q.cur = append(q.cur, r) }
+
+//xmem:allocfree
+func (q *reqQueue) drain() []Request {
+	out := q.cur
+	q.cur = q.spare[:0]
+	q.spare = out
+	return out
+}
+
 // Stats counts prefetcher activity.
 type Stats struct {
 	// Trained counts observations that matched a confirmed stride.
@@ -34,7 +54,7 @@ type MultiStride struct {
 	entries int
 	degree  int
 	table   []strideEntry
-	queue   []Request
+	queue   reqQueue
 	stats   Stats
 	clock   uint64 // LRU timestamp source
 }
@@ -128,13 +148,12 @@ func (p *MultiStride) victim() *strideEntry {
 }
 
 func (p *MultiStride) enqueue(r Request) {
-	p.queue = append(p.queue, r)
+	p.queue.push(r)
 	p.stats.Issued++
 }
 
-// Drain returns and clears the queued prefetches.
-func (p *MultiStride) Drain() []Request {
-	q := p.queue
-	p.queue = nil
-	return q
-}
+// Drain returns and clears the queued prefetches. The returned slice stays
+// valid only until the next Drain, which reuses its storage.
+//
+//xmem:allocfree
+func (p *MultiStride) Drain() []Request { return p.queue.drain() }

@@ -59,7 +59,7 @@ type XMemPrefetcher struct {
 	pinned map[core.AtomID]bool
 	// stream is the per-atom run-ahead state.
 	stream map[core.AtomID]*streamState
-	queue  []Request
+	queue  reqQueue
 	stats  Stats
 	// issueObs, when set, is told how many prefetches each OnAccess issued
 	// for which atom (obs layer).
@@ -220,7 +220,7 @@ func (p *XMemPrefetcher) OnAccess(pa mem.Addr, id core.AtomID, at uint64) {
 			cur = limit // stream exhausted; park the cursor
 			break
 		}
-		p.queue = append(p.queue, Request{Addr: mem.LineAddr(addr), At: at})
+		p.queue.push(Request{Addr: mem.LineAddr(addr), At: at})
 		p.stats.Issued++
 		issued++
 		cur = next
@@ -237,9 +237,8 @@ func (p *XMemPrefetcher) OnMiss(pa mem.Addr, id core.AtomID, at uint64) {
 	p.OnAccess(pa, id, at)
 }
 
-// Drain returns and clears the queued prefetches.
-func (p *XMemPrefetcher) Drain() []Request {
-	q := p.queue
-	p.queue = nil
-	return q
-}
+// Drain returns and clears the queued prefetches. The returned slice stays
+// valid only until the next Drain, which reuses its storage.
+//
+//xmem:allocfree
+func (p *XMemPrefetcher) Drain() []Request { return p.queue.drain() }
