@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test test-short vet xmem-vet vet-json vet-hotpath \
         infer-validate lint fmtcheck check bench bench-snapshot bench-hotpath \
-        alloc-gate race race-multi bench-multi sweep-smoke metrics-smoke \
+        alloc-gate race race-multi sweep-smoke metrics-smoke \
         trace-smoke experiments experiments-paper examples clean
 
 all: build vet test
@@ -81,18 +81,12 @@ bench-hotpath:
 race:
 	$(GO) test -race ./...
 
-# Race-checked determinism gate for the bound–weave parallel scheduler: the
-# multicore and bound–weave tests (including the byte-identical-across-
-# GOMAXPROCS determinism test) under the race detector. Cheap enough to run
-# on every change to internal/sim.
+# Race-checked determinism gate for the multicore scheduler: the multicore
+# tests (including the byte-identical-across-GOMAXPROCS determinism test)
+# under the race detector. Cheap enough to run on every change to
+# internal/sim.
 race-multi:
-	$(GO) test -race -run 'Multi|BoundWeave|WeaveGuard' -v ./internal/sim/
-
-# Record the bound–weave speedup envelope (BENCH_multi.json): paired
-# sequential-vs-parallel co-run walltime, determinism re-check, and — on
-# machines with >=8 hardware threads — a >=3x speedup gate.
-bench-multi:
-	sh scripts/bench_multi.sh
+	$(GO) test -race -run 'Multi|BoundWeaveDeterminism' -v ./internal/sim/
 
 # End-to-end sweep smoke: a tiny 4-point parallel sweep, checkpointed,
 # then resumed — the resume must restore every point and print the same

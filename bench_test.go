@@ -272,8 +272,7 @@ func BenchmarkSpan1in10(b *testing.B) { benchSpan(b, 10) }
 
 // corunBenchWorkload is one DRAM-heavy streaming co-runner: a buffer
 // several times the shared L3, streamed repeatedly, so every core misses to
-// the shared controller continuously — the worst case for the bound–weave
-// scheduler's optimistic bound phase and the best case for its parallelism.
+// the shared controller continuously.
 func corunBenchWorkload(idx int, l3 uint64) workload.Workload {
 	name := fmt.Sprintf("costream%d", idx)
 	lines := int(4 * l3 / mem.LineBytes)
@@ -297,18 +296,16 @@ func corunBenchWorkload(idx int, l3 uint64) workload.Workload {
 	}
 }
 
-// benchCorun8 runs an 8-core co-run of streaming workloads on the selected
-// multicore scheduler. scripts/bench_multi.sh pairs the two variants into
-// BENCH_multi.json: on a one-thread machine they tie (the bound phase still
-// runs its goroutines one at a time); the speedup gate applies from 8
-// hardware threads up.
-func benchCorun8(b *testing.B, parallel bool) {
+// BenchmarkCorun8 runs an 8-core co-run of streaming workloads on the
+// multicore scheduler: quantum handoffs plus contention at one shared DRAM
+// controller.
+func BenchmarkCorun8(b *testing.B) {
 	const l3 = 64 << 10
 	ws := make([]workload.Workload, 8)
 	for i := range ws {
 		ws[i] = corunBenchWorkload(i, l3)
 	}
-	cfg := sim.MultiConfig{Core: sim.FastConfig(l3), Parallel: parallel}
+	cfg := sim.MultiConfig{Core: sim.FastConfig(l3)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := sim.MustRunMulti(cfg, ws)
@@ -317,9 +314,3 @@ func benchCorun8(b *testing.B, parallel bool) {
 		}
 	}
 }
-
-// BenchmarkCorun8Seq is the serial reference scheduler on the 8-core co-run.
-func BenchmarkCorun8Seq(b *testing.B) { benchCorun8(b, false) }
-
-// BenchmarkCorun8BoundWeave is the bound–weave scheduler on the same machine.
-func BenchmarkCorun8BoundWeave(b *testing.B) { benchCorun8(b, true) }

@@ -143,19 +143,35 @@ const siteBase = mem.Addr(0x400000)
 
 func pcForSite(site int) mem.Addr { return siteBase + mem.Addr(site)*4 }
 
-// buildDRAM constructs the memory controller and the frame allocator the
-// OS will draw from. policyAtoms drive the XMem placement policy, which is
-// returned separately because it is per-process.
-func buildDRAM(cfg Config, policyAtoms []xm.Atom) (memorySystem, kernel.FrameAllocator, kernel.PlacementPolicy, error) {
-	if cfg.Hybrid != nil {
-		return buildHybrid(cfg, policyAtoms)
+// buildDRAM constructs the memory system and the frame allocator the OS
+// will draw from. Both are machine-wide; the per-process placement policy
+// comes from placementPolicy.
+func buildDRAM(cfg Config) (memorySystem, kernel.FrameAllocator, error) {
+	if h := cfg.Hybrid; h != nil {
+		// The two-tier memory of the Table 1 hybrid-memory use case: DRAM
+		// in front of NVM. Alloc is ignored; placementPolicy picks tiers.
+		hcfg := hybrid.DefaultConfig(h.DRAMBytes, h.NVMBytes)
+		if cfg.IdealRBL {
+			hcfg.DRAM.IdealRBL = true
+			hcfg.NVM.IdealRBL = true
+		}
+		memsys, err := hybrid.New(hcfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return memsys, hybrid.NewAllocator(h.DRAMBytes, h.NVMBytes), nil
 	}
-	ctl, err := newDRAMController(cfg)
+	ctl, err := dram.NewController(dram.Config{
+		Geometry: cfg.Geometry,
+		Timing:   cfg.Timing,
+		Scheme:   cfg.Scheme,
+		IdealRBL: cfg.IdealRBL,
+		FCFS:     cfg.FCFS,
+	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var alloc kernel.FrameAllocator
-	var policy kernel.PlacementPolicy
 	switch cfg.Alloc {
 	case AllocSequential, "":
 		alloc = kernel.NewSequentialAllocator(cfg.Geometry.CapacityBytes)
@@ -163,46 +179,27 @@ func buildDRAM(cfg Config, policyAtoms []xm.Atom) (memorySystem, kernel.FrameAll
 		alloc = kernel.NewRandomizedAllocator(cfg.Geometry.CapacityBytes, cfg.AllocSeed)
 	case AllocXMemPlacement:
 		alloc = kernel.NewBankedAllocator(ctl.Mapping())
-		policy = kernel.NewXMemPlacement(policyAtoms, cfg.Geometry.BanksPerChannel())
 	default:
-		return nil, nil, nil, fmt.Errorf("sim: unknown alloc policy %q", cfg.Alloc)
+		return nil, nil, fmt.Errorf("sim: unknown alloc policy %q", cfg.Alloc)
 	}
-	return ctl, alloc, policy, nil
+	return ctl, alloc, nil
 }
 
-// newDRAMController builds one plain controller for cfg. The bound–weave
-// scheduler also uses it directly: the shared replay target and every
-// core's private shadow controller are identically-configured instances.
-func newDRAMController(cfg Config) (*dram.Controller, error) {
-	return dram.NewController(dram.Config{
-		Geometry: cfg.Geometry,
-		Timing:   cfg.Timing,
-		Scheme:   cfg.Scheme,
-		IdealRBL: cfg.IdealRBL,
-		FCFS:     cfg.FCFS,
-	})
-}
-
-// buildHybrid assembles the two-tier memory of the Table 1 hybrid-memory
-// use case: DRAM in front of NVM, with tier choice made per atom when XMem
-// placement is enabled and DRAM-first otherwise.
-func buildHybrid(cfg Config, policyAtoms []xm.Atom) (memorySystem, kernel.FrameAllocator, kernel.PlacementPolicy, error) {
-	h := cfg.Hybrid
-	hcfg := hybrid.DefaultConfig(h.DRAMBytes, h.NVMBytes)
-	if cfg.IdealRBL {
-		hcfg.DRAM.IdealRBL = true
-		hcfg.NVM.IdealRBL = true
+// placementPolicy is one process' OS placement policy over the memory
+// buildDRAM builds (nil = none): on hybrid memory, per-atom tier choice
+// when XMem placement is enabled and DRAM-first otherwise; on plain DRAM,
+// the §6.2 bank placement under AllocXMemPlacement.
+func placementPolicy(cfg Config, atoms []xm.Atom) kernel.PlacementPolicy {
+	if h := cfg.Hybrid; h != nil {
+		if h.XMemPlacement {
+			return hybrid.NewPlacement(atoms)
+		}
+		return nil
 	}
-	memsys, err := hybrid.New(hcfg)
-	if err != nil {
-		return nil, nil, nil, err
+	if cfg.Alloc == AllocXMemPlacement {
+		return kernel.NewXMemPlacement(atoms, cfg.Geometry.BanksPerChannel())
 	}
-	alloc := hybrid.NewAllocator(h.DRAMBytes, h.NVMBytes)
-	var policy kernel.PlacementPolicy
-	if h.XMemPlacement {
-		policy = hybrid.NewPlacement(policyAtoms)
-	}
-	return memsys, alloc, policy, nil
+	return nil
 }
 
 // declareAtoms performs the compile-time CREATE summarization and the OS'
@@ -343,11 +340,11 @@ func Run(cfg Config, w workload.Workload) (Result, error) {
 	if cfg.StripAtomAttrs {
 		stripAtomAttrs(atoms)
 	}
-	ctl, alloc, policy, err := buildDRAM(cfg, atoms)
+	ctl, alloc, err := buildDRAM(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := buildMachine(cfg, w, atoms, ctl, alloc, policy)
+	m, err := buildMachine(cfg, w, atoms, ctl, alloc, placementPolicy(cfg, atoms))
 	if err != nil {
 		return Result{}, err
 	}

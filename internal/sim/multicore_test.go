@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"runtime"
 	"testing"
 
 	"xmem/internal/workload"
@@ -8,6 +11,29 @@ import (
 
 func multiConfig() MultiConfig {
 	return MultiConfig{Core: testConfig()}
+}
+
+// corunWorkloads is a contended co-run mix: every core streams through a
+// buffer several times larger than the L3, so all of them miss to the
+// shared controller continuously.
+func corunWorkloads(n int) []workload.Workload {
+	ws := make([]workload.Workload, n)
+	big := 3 * (256 << 10) / 64
+	for i := range ws {
+		ws[i] = streamWorkload(big+i*64, 2)
+	}
+	return ws
+}
+
+// marshalMulti renders a MultiResult to its canonical byte form (all
+// exported state, including per-core metrics reports and span dumps).
+func marshalMulti(t *testing.T, r MultiResult) []byte {
+	t.Helper()
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return data
 }
 
 func TestRunMultiSingleMatchesSoloShape(t *testing.T) {
@@ -38,6 +64,35 @@ func TestRunMultiDeterministic(t *testing.T) {
 	for i := range r1.Cores {
 		if r1.Cores[i].Cycles != r2.Cores[i].Cycles {
 			t.Fatalf("core %d nondeterministic: %d vs %d", i, r1.Cores[i].Cycles, r2.Cores[i].Cycles)
+		}
+	}
+}
+
+// TestBoundWeaveDeterminism: the multicore scheduler must produce
+// byte-identical results — including the span and metrics streams — across
+// GOMAXPROCS settings and repeated runs. The name dates from the removed
+// parallel bound-weave scheduler; the same gate now holds the serial one.
+func TestBoundWeaveDeterminism(t *testing.T) {
+	cfg := multiConfig()
+	cfg.Core.XMemCache = true
+	cfg.Core.Metrics = true
+	cfg.Core.SpanSample = 64
+	ws := corunWorkloads(3)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref []byte
+	for _, procs := range []int{1, 4, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 3; rep++ {
+			got := marshalMulti(t, MustRunMulti(cfg, ws))
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !bytes.Equal(ref, got) {
+				t.Fatalf("GOMAXPROCS=%d rep=%d: result differs from reference (%d vs %d bytes)",
+					procs, rep, len(got), len(ref))
+			}
 		}
 	}
 }
@@ -82,6 +137,39 @@ func TestRunMultiErrors(t *testing.T) {
 	bad.Core.Alloc = "bogus"
 	if _, err := RunMulti(bad, []workload.Workload{streamWorkload(8, 1)}); err == nil {
 		t.Error("bad alloc accepted")
+	}
+}
+
+// TestRunMultiHybridMatchesRun: one core on hybrid memory under the
+// multicore scheduler must model the tiers exactly as a solo run does, with
+// XMem tier placement on and off.
+func TestRunMultiHybridMatchesRun(t *testing.T) {
+	for _, xmemPlacement := range []bool{true, false} {
+		cfg := FastConfig(64 << 10)
+		cfg.Hybrid = &HybridConfig{DRAMBytes: 4 << 20, NVMBytes: 32 << 20, XMemPlacement: xmemPlacement}
+		w := streamWorkload(4096, 2)
+		solo := MustRun(cfg, w)
+		multi := MustRunMulti(MultiConfig{Core: cfg}, []workload.Workload{w})
+		got := multi.Cores[0]
+		if got.Cycles != solo.Cycles {
+			t.Errorf("XMemPlacement=%v: cycles %d under RunMulti, %d under Run", xmemPlacement, got.Cycles, solo.Cycles)
+		}
+		if got.TierDRAM == nil || got.TierNVM == nil {
+			t.Fatalf("XMemPlacement=%v: no tier stats under RunMulti", xmemPlacement)
+		}
+		if *got.TierDRAM != *solo.TierDRAM || *got.TierNVM != *solo.TierNVM {
+			t.Errorf("XMemPlacement=%v: tier stats differ: RunMulti DRAM %+v NVM %+v, Run DRAM %+v NVM %+v",
+				xmemPlacement, *got.TierDRAM, *got.TierNVM, *solo.TierDRAM, *solo.TierNVM)
+		}
+	}
+}
+
+func TestRunMultiRejectsNUMAHybrid(t *testing.T) {
+	cfg := multiConfig()
+	cfg.NUMA = &NUMAConfig{Nodes: 2, NodeBytes: 64 << 20}
+	cfg.Core.Hybrid = &HybridConfig{DRAMBytes: 4 << 20, NVMBytes: 32 << 20}
+	if _, err := RunMulti(cfg, corunWorkloads(1)); err == nil {
+		t.Error("NUMA with hybrid memory accepted")
 	}
 }
 
