@@ -18,7 +18,9 @@ func (l fixedLower) Access(pa mem.Addr, kind mem.AccessKind, at uint64, pc mem.A
 // TestHotPathCacheEvictPinnedAllocFree is the allocs/op gate for the
 // cache's miss path (`make alloc-gate`): misses that evict in a set whose
 // other ways are pinned pass the set's pinned flags to the policy as its
-// blocked mask and allocate nothing, for LRU and the RRIP family.
+// blocked mask and allocate nothing, for LRU and the RRIP family. A sink is
+// installed, so the access and eviction events it receives by value are
+// held to the same zero.
 func TestHotPathCacheEvictPinnedAllocFree(t *testing.T) {
 	for _, policy := range []string{"lru", "srrip", "drrip"} {
 		t.Run(policy, func(t *testing.T) {
@@ -30,6 +32,12 @@ func TestHotPathCacheEvictPinnedAllocFree(t *testing.T) {
 			pin := true
 			c.SetClassifier(func(mem.Addr, mem.AccessKind) Insertion {
 				return Insertion{Pin: pin, Atom: core.AtomID(1)}
+			})
+			var evicts int
+			c.SetSink(func(ev Event) {
+				if ev.Op == OpEvict {
+					evicts++
+				}
 			})
 			// Pin two ways of every set, then stream through set 0.
 			for i := 0; i < 2*sets; i++ {
@@ -51,6 +59,9 @@ func TestHotPathCacheEvictPinnedAllocFree(t *testing.T) {
 			batch()
 			if allocs := testing.AllocsPerRun(10, batch); allocs != 0 {
 				t.Errorf("evicting Access allocates %.0f per 200 ops, want 0", allocs)
+			}
+			if uint64(evicts) != c.Stats().Evictions {
+				t.Errorf("sink saw %d evictions, stats count %d", evicts, c.Stats().Evictions)
 			}
 			if c.Stats().Evictions == 0 || c.Stats().PinEvictions != 0 {
 				t.Errorf("stats %+v: want evictions of unpinned ways only", c.Stats())

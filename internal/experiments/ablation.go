@@ -164,15 +164,6 @@ func RunAblationSweep(p Preset, opt runner.Options) (AblationResult, error) {
 	return res, runner.FailErr(outs)
 }
 
-// RunAblation is the sequential entry point (panics on failure).
-func RunAblation(p Preset, progress io.Writer) AblationResult {
-	res, err := RunAblationSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Print renders the sweeps.
 func (r AblationResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Ablations — design-choice sensitivity (preset %s)\n\n", r.Preset.Name)

@@ -152,15 +152,6 @@ func RunCorunSweep(p Preset, opt runner.Options) (CorunResult, error) {
 	return res, runner.FailErr(outs)
 }
 
-// RunCorun is the sequential entry point (panics on failure).
-func RunCorun(p Preset, progress io.Writer) CorunResult {
-	res, err := RunCorunSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Print renders the co-run sweep.
 func (r CorunResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Co-run extension — kernel slowdown under shared-DRAM antagonists (preset %s)\n\n", r.Preset.Name)

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"xmem/internal/experiments/runner"
 )
+
+// serial runs a sweep one point at a time with no progress output.
+var serial = runner.Options{Parallel: 1}
 
 func TestPresetByName(t *testing.T) {
 	for _, name := range []string{"mini", "fast", "paper"} {
@@ -44,7 +49,10 @@ func TestFig4MiniShape(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	p := Mini()
-	res := RunFig4(p, nil)
+	res, err := RunFig4Sweep(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != len(p.UC1Kernels)*len(p.UC1Tiles) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -73,7 +81,10 @@ func TestFig4MiniShape(t *testing.T) {
 	}
 
 	// Figure 5 reuses the sweep.
-	f5 := RunFig5(p, &res, nil)
+	f5, err := RunFig5Sweep(p, &res, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(f5.Rows) != len(p.UC1Kernels) {
 		t.Fatalf("fig5 rows = %d", len(f5.Rows))
 	}
@@ -95,7 +106,10 @@ func TestFig6MiniShape(t *testing.T) {
 	}
 	p := Mini()
 	p.UC1Kernels = []string{"gemm"}
-	res := RunFig6(p, nil)
+	res, err := RunFig6Sweep(p, nil, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != len(DefaultFig6Bandwidths()) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -125,7 +139,10 @@ func TestFig7MiniShape(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	p := Mini()
-	res := RunFig7(p, nil)
+	res, err := RunFig7Sweep(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != len(p.UC2Workloads) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -164,7 +181,10 @@ func TestALBAndOverheadMini(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	p := Mini()
-	alb := RunALB(p, nil)
+	alb, err := RunALBSweep(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(alb.Points) == 0 {
 		t.Fatal("no ALB points")
 	}
@@ -179,7 +199,10 @@ func TestALBAndOverheadMini(t *testing.T) {
 		}
 	}
 
-	ov := RunOverhead(p, nil)
+	ov, err := RunOverheadSweep(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ov.AAMFraction < 0.0019 || ov.AAMFraction > 0.0021 {
 		t.Errorf("AAM fraction = %.4f, want ~0.002 (paper: 0.2%%)", ov.AAMFraction)
 	}

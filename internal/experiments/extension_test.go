@@ -11,7 +11,10 @@ func TestHybridMiniShape(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	p := Mini()
-	res := RunHybrid(p, nil)
+	res, err := RunHybridSweep(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(res.Rows))
 	}
@@ -46,7 +49,10 @@ func TestCorunMiniShape(t *testing.T) {
 	p := Mini()
 	p.UC1Kernels = []string{"gemm"}
 	p.UC1N = 96
-	res := RunCorun(p, nil)
+	res, err := RunCorunSweep(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 co-runner counts", len(res.Rows))
 	}
@@ -79,7 +85,10 @@ func TestNumaMiniShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	res := RunNuma(Mini(), nil)
+	res, err := RunNumaSweep(Mini(), serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -114,7 +123,10 @@ func TestAblationMiniShape(t *testing.T) {
 	p := Mini()
 	p.UC1Kernels = []string{"gemm"}
 	p.UC1N = 96
-	res := RunAblation(p, nil)
+	res, err := RunAblationSweep(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
 	knobs := map[string]int{}
 	for _, pt := range res.Points {
 		knobs[pt.Knob]++

@@ -104,16 +104,6 @@ func RunFig4Sweep(p Preset, opt runner.Options) (Fig4Result, error) {
 	return Fig4Result{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
 }
 
-// RunFig4 is the sequential entry point (panics on failure, like
-// sim.MustRun).
-func RunFig4(p Preset, progress io.Writer) Fig4Result {
-	res, err := RunFig4Sweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // kernelRows returns the rows of one kernel in tile order.
 func (r Fig4Result) kernelRows(kernel string) []Fig4Row {
 	var out []Fig4Row

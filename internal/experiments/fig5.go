@@ -124,15 +124,6 @@ func RunFig5Sweep(p Preset, fig4 *Fig4Result, opt runner.Options) (Fig5Result, e
 	return Fig5Result{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
 }
 
-// RunFig5 is the sequential entry point (panics on failure).
-func RunFig5(p Preset, fig4 *Fig4Result, progress io.Writer) Fig5Result {
-	res, err := RunFig5Sweep(p, fig4, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Summary reports the §5.4 portability statistic: average worst-case
 // execution-time increase when the cache is smaller than tuned for
 // (paper: Baseline +55%, XMem +6%).

@@ -104,16 +104,6 @@ func RunFig6Sweep(p Preset, bandwidths []float64, opt runner.Options) (Fig6Resul
 	return res, runner.FailErr(outs)
 }
 
-// RunFig6 is the sequential entry point at the default bandwidths (panics
-// on failure).
-func RunFig6(p Preset, progress io.Writer) Fig6Result {
-	res, err := RunFig6Sweep(p, nil, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // GapAt returns the average advantage of full XMem over XMem-Pref at the
 // given bandwidth (paper: 13%, 19.5%, 31% at 2, 1, 0.5 GB/s).
 func (r Fig6Result) GapAt(bw float64) float64 {

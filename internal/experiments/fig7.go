@@ -197,15 +197,6 @@ func RunFig7Sweep(p Preset, opt runner.Options) (Fig7Result, error) {
 	return Fig7Result{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
 }
 
-// RunFig7 is the sequential entry point (panics on failure).
-func RunFig7(p Preset, progress io.Writer) Fig7Result {
-	res, err := RunFig7Sweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Fig7Summary condenses the experiment the way §6.4 reports it.
 type Fig7Summary struct {
 	// XMemSpeedupAvg/Max (paper: +8.5% avg, up to +31.9%).

@@ -183,15 +183,6 @@ func RunHybridSweep(p Preset, opt runner.Options) (HybridResult, error) {
 	return res, runner.FailErr(outs)
 }
 
-// RunHybrid is the sequential entry point (panics on failure).
-func RunHybrid(p Preset, progress io.Writer) HybridResult {
-	res, err := RunHybridSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 func pageAlign(b uint64) uint64 {
 	const page = 4096
 	return (b + page - 1) / page * page

@@ -122,15 +122,6 @@ func RunNumaSweep(p Preset, opt runner.Options) (NumaResult, error) {
 	return NumaResult{Preset: p, Rows: runner.Results(outs)}, runner.FailErr(outs)
 }
 
-// RunNuma is the sequential entry point (panics on failure).
-func RunNuma(p Preset, progress io.Writer) NumaResult {
-	res, err := RunNumaSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Print renders the comparison.
 func (r NumaResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "NUMA extension — Table 1 thread-affine placement (preset %s; 2 nodes, 2 workers)\n\n", r.Preset.Name)

@@ -67,15 +67,6 @@ func RunALBSweep(p Preset, opt runner.Options) (ALBResult, error) {
 	return res, runner.FailErr(outs)
 }
 
-// RunALB is the sequential entry point (panics on failure).
-func RunALB(p Preset, progress io.Writer) ALBResult {
-	res, err := RunALBSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Print renders the ALB coverage table.
 func (r ALBResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "ALB coverage (§4.2) — workload %s (preset %s)\n\n", r.Workload, r.Preset.Name)
@@ -230,15 +221,6 @@ func RunOverheadSweep(p Preset, opt runner.Options) (OverheadResult, error) {
 		return res, err
 	}
 	return res, runner.FailErr(ctxOuts)
-}
-
-// RunOverhead is the sequential entry point (panics on failure).
-func RunOverhead(p Preset, progress io.Writer) OverheadResult {
-	res, err := RunOverheadSweep(p, runner.Options{Parallel: 1, Progress: progress})
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // AvgInstructionOverhead returns the mean instruction-overhead fraction.

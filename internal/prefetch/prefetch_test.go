@@ -114,14 +114,13 @@ func TestXMemPrefetchWithinRange(t *testing.T) {
 	p := xmemWithAtom(t, 64, []core.PARange{{Base: 0x10000, Size: 4096}})
 	// Two forward accesses establish stream confidence; prefetching then
 	// runs ahead of the second access.
-	p.OnAccess(0x10000, 0, 100)
-	if len(p.Drain()) != 0 {
-		t.Fatal("prefetched before confidence established")
+	if n := p.OnAccess(0x10000, 0, 100); n != 0 || len(p.Drain()) != 0 {
+		t.Fatalf("prefetched before confidence established (OnAccess = %d)", n)
 	}
-	p.OnAccess(0x10040, 0, 110)
+	n := p.OnAccess(0x10040, 0, 110)
 	reqs := p.Drain()
-	if len(reqs) != 2 {
-		t.Fatalf("issued %d, want 2", len(reqs))
+	if len(reqs) != 2 || n != 2 {
+		t.Fatalf("issued %d (OnAccess = %d), want 2", len(reqs), n)
 	}
 	if reqs[0].Addr != 0x10080 || reqs[1].Addr != 0x100C0 {
 		t.Errorf("addresses = %#x, %#x", reqs[0].Addr, reqs[1].Addr)
@@ -178,7 +177,7 @@ func TestXMemPrefetchStopsAtEnd(t *testing.T) {
 func TestXMemPrefetchUnpinnedAtomIgnored(t *testing.T) {
 	p := xmemWithAtom(t, 64, []core.PARange{{Base: 0x10000, Size: 4096}})
 	p.SetPinned(nil)
-	p.OnMiss(0x10000, 0, 0)
+	p.OnAccess(0x10000, 0, 0)
 	if got := len(p.Drain()); got != 0 {
 		t.Errorf("unpinned atom issued %d prefetches", got)
 	}
@@ -191,7 +190,7 @@ func TestXMemPrefetchIrregularAtomIgnored(t *testing.T) {
 	p.SetPAT(core.TranslatePrefetch(g))
 	p.AtomMapping(core.MapEvent{ID: 0, Ranges: []core.PARange{{Base: 0x10000, Size: 4096}}})
 	p.SetPinned([]core.AtomID{0})
-	p.OnMiss(0x10000, 0, 0)
+	p.OnAccess(0x10000, 0, 0)
 	if got := len(p.Drain()); got != 0 {
 		t.Errorf("irregular atom issued %d prefetches", got)
 	}
@@ -200,7 +199,7 @@ func TestXMemPrefetchIrregularAtomIgnored(t *testing.T) {
 func TestXMemPrefetchUnmapRemovesRanges(t *testing.T) {
 	p := xmemWithAtom(t, 64, []core.PARange{{Base: 0x10000, Size: 4096}})
 	p.AtomMapping(core.MapEvent{ID: 0, Unmap: true, Ranges: []core.PARange{{Base: 0x10000, Size: 4096}}})
-	p.OnMiss(0x10000, 0, 0)
+	p.OnAccess(0x10000, 0, 0)
 	if got := len(p.Drain()); got != 0 {
 		t.Errorf("unmapped atom issued %d prefetches", got)
 	}

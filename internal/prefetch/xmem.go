@@ -61,9 +61,6 @@ type XMemPrefetcher struct {
 	stream map[core.AtomID]*streamState
 	queue  reqQueue
 	stats  Stats
-	// issueObs, when set, is told how many prefetches each OnAccess issued
-	// for which atom (obs layer).
-	issueObs func(id core.AtomID, n int)
 }
 
 // streamState tracks one atom's demand position and prefetch cursor.
@@ -104,9 +101,6 @@ func (p *XMemPrefetcher) SetPAT(pat *core.PrefetchPAT) { p.pat = pat }
 
 // Stats returns the counters.
 func (p *XMemPrefetcher) Stats() Stats { return p.stats }
-
-// SetIssueObserver installs a per-atom issue observer.
-func (p *XMemPrefetcher) SetIssueObserver(f func(id core.AtomID, n int)) { p.issueObs = f }
 
 // AtomMapping implements core.MappingListener: it records the linearized
 // ranges the AMU broadcasts.
@@ -168,22 +162,23 @@ func (p *XMemPrefetcher) Pinned(id core.AtomID) bool { return p.pinned[id] }
 // OnAccess reacts to a demand access (hit or miss) attributed to atom id:
 // it tops the prefetch stream up to degree strides ahead of the access.
 // Triggering on hits keeps the stream ahead of demand once prefetches start
-// landing — a miss-only trigger stalls as soon as it succeeds.
-func (p *XMemPrefetcher) OnAccess(pa mem.Addr, id core.AtomID, at uint64) {
+// landing — a miss-only trigger stalls as soon as it succeeds. It returns
+// how many prefetches the access queued.
+func (p *XMemPrefetcher) OnAccess(pa mem.Addr, id core.AtomID, at uint64) int {
 	if !p.pinned[id] || p.pat == nil {
-		return
+		return 0
 	}
 	attr, ok := p.pat.Lookup(id)
 	if !ok || !attr.Prefetchable {
-		return
+		return 0
 	}
 	rs := p.ranges[id]
 	if rs == nil {
-		return
+		return 0
 	}
 	pos, ok := rs.position(mem.LineAddr(pa))
 	if !ok {
-		return
+		return 0
 	}
 	st := p.stream[id]
 	if st == nil {
@@ -204,7 +199,7 @@ func (p *XMemPrefetcher) OnAccess(pa mem.Addr, id core.AtomID, at uint64) {
 	}
 	st.lastPos = pos
 	if st.conf < streamConfThreshold {
-		return
+		return 0
 	}
 	p.stats.Trained++
 	limit := pos + uint64(p.degree)*step
@@ -226,15 +221,7 @@ func (p *XMemPrefetcher) OnAccess(pa mem.Addr, id core.AtomID, at uint64) {
 		cur = next
 	}
 	st.cursor = cur
-	if issued > 0 && p.issueObs != nil {
-		p.issueObs(id, issued)
-	}
-}
-
-// OnMiss is a miss-only entry point with OnAccess semantics (kept for
-// callers that observe only misses).
-func (p *XMemPrefetcher) OnMiss(pa mem.Addr, id core.AtomID, at uint64) {
-	p.OnAccess(pa, id, at)
+	return issued
 }
 
 // Drain returns and clears the queued prefetches. The returned slice stays

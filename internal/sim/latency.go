@@ -14,10 +14,10 @@ import (
 // All histograms use obs.Histogram's fixed log2 buckets; one observation
 // is a handful of arithmetic ops.
 type latencyState struct {
-	l1d, l2, l3 obs.Histogram
-	dram, nvm   obs.Histogram
-	lead        obs.Histogram
-	perAtom     map[xm.AtomID]*obs.Histogram
+	hit       [numLevels]obs.Histogram
+	dram, nvm obs.Histogram
+	lead      obs.Histogram
+	perAtom   map[xm.AtomID]*obs.Histogram
 }
 
 func newLatencyState() *latencyState {
@@ -43,9 +43,9 @@ func (ls *latencyState) report(names func(xm.AtomID) string) *obs.LatencyReport 
 			layers = append(layers, h.Summary(name))
 		}
 	}
-	add("cache.l1d.hit_service", &ls.l1d)
-	add("cache.l2.hit_service", &ls.l2)
-	add("cache.l3.hit_service", &ls.l3)
+	add("cache.l1d.hit_service", &ls.hit[levelL1D])
+	add("cache.l2.hit_service", &ls.hit[levelL2])
+	add("cache.l3.hit_service", &ls.hit[levelL3])
 	add("dram.ctl.demand_service", &ls.dram)
 	add("nvm.ctl.demand_service", &ls.nvm)
 	add("prefetch.xmem.lead", &ls.lead)

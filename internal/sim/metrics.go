@@ -33,29 +33,6 @@ func (m *Machine) enableMetrics() {
 	m.lat = newLatencyState()
 	m.registerMetrics()
 	m.sampler = obs.NewSampler(m.reg, m.cfg.EpochCycles, m.attrib)
-
-	m.l3.SetEvictionObserver(func(pa mem.Addr, _ xm.AtomID, pinned bool) {
-		if pinned {
-			m.attrib.PinEviction(m.resolveAtom(pa))
-		}
-	})
-	m.l3.SetUsefulObserver(func(pa mem.Addr, _ xm.AtomID, lead uint64) {
-		m.attrib.PrefetchUseful(m.resolveAtom(pa))
-		if lead > 0 {
-			m.lat.lead.Observe(lead)
-		}
-	})
-	for c, h := range map[*cache.Cache]*obs.Histogram{
-		m.l1d: &m.lat.l1d, m.l2: &m.lat.l2, m.l3: &m.lat.l3,
-	} {
-		h := h
-		c.SetLatencyObserver(func(_ mem.AccessKind, cycles uint64) {
-			h.Observe(cycles)
-		})
-	}
-	if m.xmemPf != nil {
-		m.xmemPf.SetIssueObserver(m.observePrefetchIssue)
-	}
 }
 
 // dramObservable is implemented by memory systems that can report scheduled
